@@ -264,8 +264,10 @@ func BenchmarkFrameEncodeDecode(b *testing.B) {
 }
 
 // BenchmarkWirePayloadKinds measures the message codec per payload kind:
-// every binary fast path plus the gob fallback, over the same
-// append-encode/decode cycle the TCP send path runs.
+// every built-in payload plus a registered PUP payload, over the same
+// append-encode/decode cycle the TCP send path runs. The paper's own
+// message types have package-local benchmarks (BenchmarkGhostMsgCodec,
+// BenchmarkLeanMDMsgCodec, BenchmarkTaskBatchCodec).
 func BenchmarkWirePayloadKinds(b *testing.B) {
 	f64s := make([]float64, 256) // a 2 KiB ghost row
 	for i := range f64s {
@@ -290,7 +292,7 @@ func BenchmarkWirePayloadKinds(b *testing.B) {
 		{"bytes-2KiB", bytes.Repeat([]byte{0xAB}, 2048)},
 		{"reducepartial", core.ReducePartial{Array: 1, Seq: 9, Op: core.OpSum, Value: 1.5, Contribs: 32}},
 		{"bundle-4msgs", bundle.Data},
-		{"gob-fallback", benchGobPayload{A: 7, B: "fallback"}},
+		{"pup-payload", benchPUPPayload{A: 7, B: "registered"}},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -312,14 +314,20 @@ func BenchmarkWirePayloadKinds(b *testing.B) {
 	}
 }
 
-// benchGobPayload has no registered binary codec, so it travels via the
-// codec's gob fallback.
-type benchGobPayload struct {
+// benchPUPPayload is an application payload registered through its PUP
+// method. Its tag sits outside every package's block (DESIGN.md), and
+// this test binary links all of them (see TestPayloadTagsLinkTogether).
+type benchPUPPayload struct {
 	A int
 	B string
 }
 
-func init() { core.RegisterPayload(benchGobPayload{}) }
+func (b *benchPUPPayload) PUP(p *core.PUP) {
+	p.Int(&b.A)
+	p.String(&b.B)
+}
+
+func init() { core.RegisterPUPPayload[benchPUPPayload](254) }
 
 func BenchmarkDelayDeviceZeroLatency(b *testing.B) {
 	d := vmi.NewDelayDevice(func(src, dst int32) time.Duration { return 0 })

@@ -297,6 +297,18 @@ func buildProgram(n int, newRank func(i int, met *ampiMetrics) *rankChare, opts 
 	return prog, nil
 }
 
-func init() {
-	core.RegisterPayload(pkt{})
+// tagPkt is pkt's wire payload tag; AMPI's block is 104–111 (see
+// DESIGN.md).
+const tagPkt byte = 104
+
+func init() { core.RegisterPUPPayload[pkt](tagPkt) }
+
+// PUP moves a packet for both the TCP transport and rank migration. The
+// body can be any value the wire codec carries, including the []any a
+// Gather or Allgather forwards.
+func (q *pkt) PUP(p *core.PUP) {
+	p.Int(&q.Src)
+	p.Int(&q.Tag)
+	p.Int(&q.Bytes)
+	p.Payload(&q.Data)
 }

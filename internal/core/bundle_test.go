@@ -73,7 +73,7 @@ func TestMakeBundle(t *testing.T) {
 	}
 }
 
-// TestBundleOverTCP exercises the gob path for bundled frames between
+// TestBundleOverTCP exercises the bundle wire form for frames between
 // process-separated runtimes.
 func TestBundleOverTCP(t *testing.T) {
 	in := MakeBundle([]*Message{

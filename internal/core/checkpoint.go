@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"sort"
@@ -190,18 +189,67 @@ func MergeCheckpoints(parts ...*Checkpoint) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// Encode writes the checkpoint with gob framing.
+// Checkpoint files open with a magic number and a format version, so a
+// file from another program — or from the gob-framed format that preceded
+// version 1 — is rejected up front with a clear error.
+const (
+	checkpointMagic   uint64 = 0x474D444F434B5054 // "GMDOCKPT"
+	checkpointVersion        = 1
+)
+
+// PUP implements PUPable: magic and version, then every array with its
+// elements' state bytes. Encode and DecodeCheckpoint frame files with it.
+func (c *Checkpoint) PUP(p *PUP) {
+	magic, version := checkpointMagic, checkpointVersion
+	p.Uint64(&magic)
+	p.Int(&version)
+	if p.Unpacking() && p.Err() == nil && (magic != checkpointMagic || version != checkpointVersion) {
+		p.Errorf("not a version-%d GridMDO checkpoint (magic %#x, version %d); files from older releases cannot be read",
+			checkpointVersion, magic, version)
+		return
+	}
+	p.Bool(&c.Partial)
+	n := len(c.Arrays)
+	p.Len(&n, 24) // ID, N, element count
+	if p.Unpacking() && p.Err() == nil {
+		c.Arrays = make([]ArrayState, n)
+	}
+	for i := range c.Arrays {
+		a := &c.Arrays[i]
+		p.Int32((*int32)(&a.ID))
+		p.Int(&a.N)
+		m := len(a.Elems)
+		p.Len(&m, 16) // Index, Data length
+		if p.Unpacking() && p.Err() == nil {
+			a.Elems = make([]ElemState, m)
+		}
+		for j := range a.Elems {
+			p.Int(&a.Elems[j].Index)
+			p.Bytes(&a.Elems[j].Data)
+		}
+	}
+}
+
+// Encode writes the checkpoint in its PUP encoding.
 func (c *Checkpoint) Encode(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(c); err != nil {
+	data, err := PUPPack(c)
+	if err == nil {
+		_, err = w.Write(data)
+	}
+	if err != nil {
 		return fmt.Errorf("core: encode checkpoint: %w", err)
 	}
 	return nil
 }
 
-// DecodeCheckpoint reverses Encode.
+// DecodeCheckpoint reverses Encode, consuming all of r.
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
+	data, err := io.ReadAll(r)
 	var c Checkpoint
-	if err := gob.NewDecoder(r).Decode(&c); err != nil {
+	if err == nil {
+		err = PUPUnpack(&c, data)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("core: decode checkpoint: %w", err)
 	}
 	return &c, nil

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/hex"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -140,6 +142,36 @@ func TestCheckpointInstallValidation(t *testing.T) {
 	}
 	if _, err := DecodeCheckpoint(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Error("garbage checkpoint decoded")
+	}
+}
+
+// gobEraCheckpoint is a one-element checkpoint as the gob-framed format
+// before checkpoint format version 1 wrote it.
+const gobEraCheckpoint = "2f7f0301010a436865636b706f696e7401ff80000102010641727261797301ff880001075061727469616c010200000020ff87020101115b5d636f72652e4172726179537461746501ff880001ff82000030ff810301010a4172726179537461746501ff820001030102494401040001014e0104000105456c656d7301ff860000001fff85020101105b5d636f72652e456c656d537461746501ff860001ff8400002aff8303010109456c656d537461746501ff840001020105496e646578010400010444617461010a0000000eff80010102020101020101000000"
+
+// TestDecodeCheckpointRejectsGobEra: a file from the older format fails
+// with an error that says it is not a current checkpoint, and a
+// truncated current file fails too.
+func TestDecodeCheckpointRejectsGobEra(t *testing.T) {
+	old, err := hex.DecodeString(gobEraCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = DecodeCheckpoint(bytes.NewReader(old))
+	if err == nil || !strings.Contains(err.Error(), "not a version-1 GridMDO checkpoint") {
+		t.Errorf("gob-era checkpoint: err %v", err)
+	}
+	var buf bytes.Buffer
+	ck := &Checkpoint{Partial: true, Arrays: []ArrayState{{ID: 2, N: 1, Elems: []ElemState{{Index: 0, Data: []byte{1}}}}}}
+	if err := ck.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeCheckpoint(bytes.NewReader(buf.Bytes()[:buf.Len()-1])); err == nil {
+		t.Error("truncated checkpoint decoded")
+	}
+	got, err := DecodeCheckpoint(&buf)
+	if err != nil || !reflect.DeepEqual(got, ck) {
+		t.Errorf("round trip: %+v, %v", got, err)
 	}
 }
 

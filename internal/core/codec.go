@@ -1,15 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
 	"reflect"
 	"sync"
-	"time"
 )
 
 // Wire serialization for messages that cross OS-process boundaries (the
@@ -18,36 +15,21 @@ import (
 //
 // The codec is a hand-rolled binary format: a fixed 57-byte header
 // (magic, version, Kind, To, Entry, Prio, Bytes, SrcPE, DstPE, and the
-// causal trace context ID/Parent) followed by
-// a tagged payload. A payload codec registry provides allocation-light
-// fast paths for every payload type the runtime itself sends (ints,
-// floats, []float64, strings, byte slices, ReducePartial, quiescence
-// probes, and bundle contents, which encode recursively) plus any type an
-// application registers with RegisterPayloadCodec. Unregistered types fall
-// back to gob.
-//
-// Compatibility note — why the gob fallback is self-contained: a gob
-// stream sends a type descriptor once per *encoder*, so the cheapest
-// scheme would keep one pooled encoder/decoder pair per TCP connection
-// and amortize descriptors across messages. That requires the decode
-// order to match the encode order exactly, which this runtime cannot
-// guarantee: messages are encoded before the wire send chain runs, frames
-// from many PEs interleave onto per-destination connections, and
-// DecodeMessage must also accept standalone byte strings (checkpoints,
-// fuzzing, frames replayed out of context). Each fallback payload is
-// therefore a self-contained gob stream — descriptors are re-sent per
-// message — and the encoder's scratch buffer is pooled instead, so the
-// fallback costs allocations, not correctness. The fix for a *hot*
-// payload type is not a stateful stream but RegisterPayloadCodec, which
-// removes gob from its path entirely; every runtime protocol type already
-// has one. Types that keep the gob fallback must be registered with
-// RegisterPayload in every participating process, as gob requires.
+// causal trace context ID/Parent) followed by a tagged payload. Scalars,
+// []float64, strings, byte slices, the per-message runtime payloads
+// (ReducePartial, quiescence probes), bundles and []any lists (the last
+// two encoding recursively) have hand-written fast paths under built-in
+// tags. Every other payload is a struct whose PUP method is its codec —
+// the runtime's load-balancing messages under a built-in tag, and every
+// application type under the tag it gives RegisterPUPPayload — so
+// messages serialize through the same visitor as migration and
+// checkpoints. A payload type with no codec is an encode error.
 
 // Message wire layout (big-endian):
 //
 //	off len field
 //	  0   2  magic 0x474D ("GM")
-//	  2   1  version (2)
+//	  2   1  version (3)
 //	  3   1  Kind
 //	  4   4  To.Array (int32)
 //	  8   8  To.Index (int64)
@@ -62,16 +44,19 @@ import (
 //	 57   …  payload (tag-specific)
 //
 // Version 2 added the 16-byte trace context (ID, Parent) so causality
-// survives the TCP hop; version 1 frames are rejected.
+// survives the TCP hop. Version 3 moved application and LB payloads from
+// varint codecs, hand-written layouts and gob onto PUP under unchanged
+// tags, so older frames are rejected rather than misparsed.
 const (
 	wireMagic    uint16 = 0x474D
-	wireVersion  byte   = 2
+	wireVersion  byte   = 3
 	msgHeaderLen        = 57
 )
 
-// Payload tags. Tags 0–63 are reserved for the runtime's built-in fast
-// paths; 64–254 are available to applications via RegisterPayloadCodec;
-// 255 marks the gob fallback.
+// Payload tags. Tags 0–63 are reserved for the runtime's built-in
+// payloads; 64–254 are available to applications via RegisterPUPPayload
+// (DESIGN.md lists the blocks each package uses). 255 was the removed
+// gob fallback's tag and stays unassigned.
 const (
 	tagNil      byte = 0
 	tagInt      byte = 1
@@ -85,47 +70,51 @@ const (
 	tagQD       byte = 9
 	tagBundle   byte = 10
 	tagLB       byte = 11
+	tagList     byte = 12
 
 	minAppTag byte = 64
-	tagGob    byte = 255
+	maxAppTag byte = 254
 )
 
 // ErrBadWire is wrapped by all structural decode failures.
 var ErrBadWire = errors.New("core: malformed wire message")
 
-// RegisterPayload registers a concrete payload type for the gob fallback
-// path of the wire codec. Hot payload types should prefer
-// RegisterPayloadCodec, which bypasses gob entirely.
-func RegisterPayload(v any) { gob.Register(v) }
-
-// PayloadCodec is a binary fast path for one concrete payload type.
-// Append serializes v (which is always of the registered type) onto dst;
-// Decode parses one value from the front of b and returns the remainder.
-// Decode must copy everything it keeps: b aliases a pooled transport
-// buffer.
-type PayloadCodec struct {
-	Append func(dst []byte, v any) ([]byte, error)
-	Decode func(b []byte) (v any, rest []byte, err error)
+// payloadCodec moves one registered payload type through a PUP visitor.
+type payloadCodec struct {
+	pack   func(p *PUP, v any)
+	unpack func(p *PUP) any
 }
 
 var (
 	payloadMu     sync.RWMutex
 	payloadByType = map[reflect.Type]byte{}
-	payloadByTag  = map[byte]PayloadCodec{}
+	payloadByTag  = map[byte]payloadCodec{}
 )
 
-// RegisterPayloadCodec installs a binary fast path for the payload type of
-// sample under the given tag (which must be in [64, 255)). Both sides of a
-// connection must register identical codecs. Registration is typically
-// done from init functions; it panics on tag or type conflicts.
-func RegisterPayloadCodec(tag byte, sample any, c PayloadCodec) {
-	if tag < minAppTag || tag == tagGob {
-		panic(fmt.Sprintf("core: payload tag %d outside application range [%d,255)", tag, minAppTag))
+// RegisterPUPPayload makes T a wire payload under the given tag (which
+// must be in [64, 254]): its PUP method writes the payload on encode and
+// fills a zero T on decode. Every process of a job must register the
+// same types under the same tags, which registering from an init
+// function guarantees. It panics on tag or type conflicts.
+func RegisterPUPPayload[T any, PT interface {
+	*T
+	PUPable
+}](tag byte) {
+	if tag < minAppTag || tag > maxAppTag {
+		panic(fmt.Sprintf("core: payload tag %d outside application range [%d,%d]", tag, minAppTag, maxAppTag))
 	}
-	if c.Append == nil || c.Decode == nil {
-		panic("core: payload codec needs both Append and Decode")
-	}
-	t := reflect.TypeOf(sample)
+	registerPUP[T, PT](tag)
+}
+
+// The runtime's own struct payloads that are not on a per-message hot
+// path are PUP'd under built-in tags.
+func init() { registerPUP[lbMsg](tagLB) }
+
+func registerPUP[T any, PT interface {
+	*T
+	PUPable
+}](tag byte) {
+	t := reflect.TypeOf((*T)(nil)).Elem()
 	payloadMu.Lock()
 	defer payloadMu.Unlock()
 	if _, dup := payloadByTag[tag]; dup {
@@ -134,20 +123,18 @@ func RegisterPayloadCodec(tag byte, sample any, c PayloadCodec) {
 	if _, dup := payloadByType[t]; dup {
 		panic(fmt.Sprintf("core: payload type %v registered twice", t))
 	}
-	payloadByTag[tag] = c
+	payloadByTag[tag] = payloadCodec{
+		pack: func(p *PUP, v any) {
+			x := v.(T)
+			PT(&x).PUP(p)
+		},
+		unpack: func(p *PUP) any {
+			var x T
+			PT(&x).PUP(p)
+			return x
+		},
+	}
 	payloadByType[t] = tag
-}
-
-func init() {
-	// Concrete types carried inside reduction values and bundles still
-	// need gob registration: they may appear nested under a fallback
-	// payload that an application routes through gob.
-	RegisterPayload(ReducePartial{})
-	RegisterPayload([]*Message(nil))
-	RegisterPayload(float64(0))
-	RegisterPayload(int64(0))
-	RegisterPayload(int(0))
-	RegisterPayload([]float64(nil))
 }
 
 // EncodeMessage serializes a message for the TCP transport.
@@ -270,8 +257,6 @@ func appendPayload(dst []byte, v any) ([]byte, error) {
 		dst = binary.BigEndian.AppendUint64(dst, uint64(x.Wave))
 		dst = binary.BigEndian.AppendUint64(dst, uint64(x.Sent))
 		return binary.BigEndian.AppendUint64(dst, uint64(x.Processed)), nil
-	case lbMsg:
-		return appendLBMsg(append(dst, tagLB), x), nil
 	case []*Message:
 		dst = append(dst, tagBundle)
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(x)))
@@ -282,15 +267,30 @@ func appendPayload(dst []byte, v any) ([]byte, error) {
 			}
 		}
 		return dst, nil
+	case []any:
+		dst = append(dst, tagList)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(x)))
+		var err error
+		for _, e := range x {
+			if dst, err = appendPayload(dst, e); err != nil {
+				return nil, err
+			}
+		}
+		return dst, nil
 	default:
 		payloadMu.RLock()
 		tag, ok := payloadByType[reflect.TypeOf(v)]
 		c := payloadByTag[tag]
 		payloadMu.RUnlock()
-		if ok {
-			return c.Append(append(dst, tag), v)
+		if !ok {
+			return nil, fmt.Errorf("payload type %T has no wire codec: give it a PUP method and register it with core.RegisterPUPPayload", v)
 		}
-		return appendGob(dst, v)
+		p := &PUP{mode: pupPacking, buf: append(dst, tag)}
+		c.pack(p, v)
+		if p.err != nil {
+			return nil, fmt.Errorf("payload %T: %w", v, p.err)
+		}
+		return p.buf, nil
 	}
 }
 
@@ -382,8 +382,6 @@ func decodePayload(tag byte, b []byte) (any, []byte, error) {
 			Sent:      int64(binary.BigEndian.Uint64(b[9:])),
 			Processed: int64(binary.BigEndian.Uint64(b[17:])),
 		}, b[25:], nil
-	case tagLB:
-		return decodeLBMsg(b)
 	case tagBundle:
 		if len(b) < 4 {
 			return nil, b, truncErr("bundle")
@@ -403,8 +401,27 @@ func decodePayload(tag byte, b []byte) (any, []byte, error) {
 			}
 		}
 		return subs, b, nil
-	case tagGob:
-		return decodeGob(b)
+	case tagList:
+		if len(b) < 4 {
+			return nil, b, truncErr("list")
+		}
+		n := int(binary.BigEndian.Uint32(b))
+		b = b[4:]
+		// Each element needs at least its tag byte.
+		if n > len(b) {
+			return nil, b, truncErr("list")
+		}
+		out := make([]any, n)
+		for i := range out {
+			if len(b) < 1 {
+				return nil, b, truncErr("list")
+			}
+			var err error
+			if out[i], b, err = decodePayload(b[0], b[1:]); err != nil {
+				return nil, b, err
+			}
+		}
+		return out, b, nil
 	default:
 		payloadMu.RLock()
 		c, ok := payloadByTag[tag]
@@ -412,7 +429,12 @@ func decodePayload(tag byte, b []byte) (any, []byte, error) {
 		if !ok {
 			return nil, b, fmt.Errorf("%w: unknown payload tag %d", ErrBadWire, tag)
 		}
-		return c.Decode(b)
+		p := &PUP{mode: pupUnpacking, buf: b}
+		v := c.unpack(p)
+		if p.err != nil {
+			return nil, b, fmt.Errorf("%w: payload tag %d: %w", ErrBadWire, tag, p.err)
+		}
+		return v, b[p.off:], nil
 	}
 }
 
@@ -420,166 +442,6 @@ func truncErr(what string) error {
 	return fmt.Errorf("%w: truncated %s payload", ErrBadWire, what)
 }
 
-// appendLBMsg is the built-in fast path for KindLB payloads. Having it in
-// the runtime (rather than the app-tag registry) guarantees that every
-// phase of the load-balancing protocol — including an evicted element's
-// PUP-packed state — crosses process boundaries without touching gob, so
-// there is no per-app RegisterPayload obligation for migrations.
-//
-// Layout after the tag byte (big-endian): phase (1) · stats count (4) +
-// 40 bytes each (Array 4, Index 8, PE 4, Load 8, Msgs 8, WanMsgs 8) ·
-// moves count (4) + 16 bytes each (Array 4, Index 8, ToPE 4) · Elem
-// (Array 4, Index 8) · state length (4) + bytes · meta presence (1) and,
-// if present, lbMetaBytes of elemMeta (redSeq 8, load 8, wanMsg 8,
-// msgs 8, atSync 1).
-func appendLBMsg(dst []byte, m lbMsg) []byte {
-	dst = append(dst, byte(m.Phase))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Stats)))
-	for _, s := range m.Stats {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(s.Ref.Array))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(s.Ref.Index)))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(s.PE))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(s.Load)))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(s.Msgs)))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(s.WanMsgs)))
-	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Moves)))
-	for _, mv := range m.Moves {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(mv.Ref.Array))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(mv.Ref.Index)))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(mv.ToPE))
-	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(m.Elem.Array))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.Elem.Index)))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.State)))
-	dst = append(dst, m.State...)
-	if m.Meta == nil {
-		return append(dst, 0)
-	}
-	dst = append(dst, 1)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(m.Meta.redSeq))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.Meta.load)))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.Meta.wanMsg)))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.Meta.msgs)))
-	a := byte(0)
-	if m.Meta.atSync {
-		a = 1
-	}
-	return append(dst, a)
-}
-
-func decodeLBMsg(b []byte) (any, []byte, error) {
-	if len(b) < 5 {
-		return nil, b, truncErr("lbMsg")
-	}
-	m := lbMsg{Phase: lbPhase(b[0])}
-	n := int(binary.BigEndian.Uint32(b[1:]))
-	b = b[5:]
-	if n > len(b)/40 {
-		return nil, b, truncErr("lbMsg stats")
-	}
-	if n > 0 {
-		m.Stats = make([]ElemLoad, n)
-		for i := range m.Stats {
-			m.Stats[i] = ElemLoad{
-				Ref:     ElemRef{Array: ArrayID(int32(binary.BigEndian.Uint32(b))), Index: int(int64(binary.BigEndian.Uint64(b[4:])))},
-				PE:      int(int32(binary.BigEndian.Uint32(b[12:]))),
-				Load:    time.Duration(int64(binary.BigEndian.Uint64(b[16:]))),
-				Msgs:    int(int64(binary.BigEndian.Uint64(b[24:]))),
-				WanMsgs: int(int64(binary.BigEndian.Uint64(b[32:]))),
-			}
-			b = b[40:]
-		}
-	}
-	if len(b) < 4 {
-		return nil, b, truncErr("lbMsg")
-	}
-	n = int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if n > len(b)/16 {
-		return nil, b, truncErr("lbMsg moves")
-	}
-	if n > 0 {
-		m.Moves = make([]Move, n)
-		for i := range m.Moves {
-			m.Moves[i] = Move{
-				Ref:  ElemRef{Array: ArrayID(int32(binary.BigEndian.Uint32(b))), Index: int(int64(binary.BigEndian.Uint64(b[4:])))},
-				ToPE: int(int32(binary.BigEndian.Uint32(b[12:]))),
-			}
-			b = b[16:]
-		}
-	}
-	if len(b) < 16 {
-		return nil, b, truncErr("lbMsg")
-	}
-	m.Elem = ElemRef{Array: ArrayID(int32(binary.BigEndian.Uint32(b))), Index: int(int64(binary.BigEndian.Uint64(b[4:])))}
-	n = int(binary.BigEndian.Uint32(b[12:]))
-	b = b[16:]
-	if n > len(b) {
-		return nil, b, truncErr("lbMsg state")
-	}
-	if n > 0 {
-		m.State = append([]byte(nil), b[:n]...)
-	}
-	b = b[n:]
-	if len(b) < 1 {
-		return nil, b, truncErr("lbMsg")
-	}
-	present := b[0]
-	b = b[1:]
-	if present != 0 {
-		if len(b) < lbMetaBytes {
-			return nil, b, truncErr("lbMsg meta")
-		}
-		m.Meta = &elemMeta{
-			redSeq: int64(binary.BigEndian.Uint64(b)),
-			load:   time.Duration(int64(binary.BigEndian.Uint64(b[8:]))),
-			wanMsg: int(int64(binary.BigEndian.Uint64(b[16:]))),
-			msgs:   int(int64(binary.BigEndian.Uint64(b[24:]))),
-			atSync: b[32] != 0,
-		}
-		b = b[lbMetaBytes:]
-	}
-	return m, b, nil
-}
-
 // reducePartialHeaderLen documents the fixed prefix decoded above: Array
 // (4) + Seq (8) + Op (1) + Contribs (8), followed by a nested payload.
 const reducePartialHeaderLen = 21
-
-// gobPayload is the envelope of the fallback path; the indirection through
-// an interface field is what lets gob carry arbitrary registered types.
-type gobPayload struct {
-	V any
-}
-
-// gobBufPool recycles the encoder scratch buffers of the fallback path.
-var gobBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func appendGob(dst []byte, v any) ([]byte, error) {
-	buf := gobBufPool.Get().(*bytes.Buffer)
-	defer gobBufPool.Put(buf)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(&gobPayload{V: v}); err != nil {
-		return nil, fmt.Errorf("gob payload %T: %w", v, err)
-	}
-	dst = append(dst, tagGob)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(buf.Len()))
-	return append(dst, buf.Bytes()...), nil
-}
-
-func decodeGob(b []byte) (any, []byte, error) {
-	if len(b) < 4 {
-		return nil, b, truncErr("gob")
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if n > len(b) {
-		return nil, b, truncErr("gob")
-	}
-	var p gobPayload
-	if err := gob.NewDecoder(bytes.NewReader(b[:n])).Decode(&p); err != nil {
-		return nil, b, fmt.Errorf("core: decode gob payload: %w", err)
-	}
-	return p.V, b[n:], nil
-}

@@ -84,8 +84,9 @@ const (
 	lbResume                // root -> all PEs: apply moves, deliver ResumeFromSync
 )
 
-// lbMsg is the KindLB payload. It has a built-in binary wire codec
-// (tagLB in codec.go), so no phase of the protocol falls back to gob.
+// lbMsg is the KindLB payload. Its PUP method is its wire codec, under
+// the built-in tagLB (codec.go), so no application registration is
+// involved.
 type lbMsg struct {
 	Phase lbPhase
 	Stats []ElemLoad // lbStats
@@ -95,8 +96,63 @@ type lbMsg struct {
 	Meta  *elemMeta  // lbArrive
 }
 
-// lbMetaBytes is the wire size of a serialized elemMeta.
+// lbMetaBytes is the modeled size of an elemMeta.
 const lbMetaBytes = 33
+
+// PUP implements PUPable for the wire codec: every phase's fields, an
+// arriving element's state, and its metadata when present.
+func (m *lbMsg) PUP(p *PUP) {
+	phase := int(m.Phase)
+	p.Int(&phase)
+	if p.Unpacking() && p.Err() == nil {
+		if phase < 0 || phase > int(lbResume) {
+			p.Errorf("core: unknown LB phase %d", phase)
+			return
+		}
+		m.Phase = lbPhase(phase)
+	}
+	n := len(m.Stats)
+	p.Len(&n, 48)
+	if p.Unpacking() && p.Err() == nil && n > 0 {
+		m.Stats = make([]ElemLoad, n)
+	}
+	for i := range m.Stats {
+		s := &m.Stats[i]
+		pupRef(p, &s.Ref)
+		p.Int(&s.PE)
+		p.Duration(&s.Load)
+		p.Int(&s.Msgs)
+		p.Int(&s.WanMsgs)
+	}
+	n = len(m.Moves)
+	p.Len(&n, 24)
+	if p.Unpacking() && p.Err() == nil && n > 0 {
+		m.Moves = make([]Move, n)
+	}
+	for i := range m.Moves {
+		pupRef(p, &m.Moves[i].Ref)
+		p.Int(&m.Moves[i].ToPE)
+	}
+	pupRef(p, &m.Elem)
+	p.Bytes(&m.State)
+	hasMeta := m.Meta != nil
+	p.Bool(&hasMeta)
+	if hasMeta && p.Err() == nil {
+		if p.Unpacking() {
+			m.Meta = new(elemMeta)
+		}
+		p.Int64(&m.Meta.redSeq)
+		p.Duration(&m.Meta.load)
+		p.Int(&m.Meta.wanMsg)
+		p.Int(&m.Meta.msgs)
+		p.Bool(&m.Meta.atSync)
+	}
+}
+
+func pupRef(p *PUP, r *ElemRef) {
+	p.Int32((*int32)(&r.Array))
+	p.Int(&r.Index)
+}
 
 // PayloadBytes implements Sizer. Unlike the old fixed formula, it counts
 // the serialized element state, so the delay device, bandwidth model, and

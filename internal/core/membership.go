@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -162,13 +163,13 @@ type MembershipMsg struct {
 // AppendMemberTable appends t in wire form.
 func AppendMemberTable(dst []byte, t *MemberTable) []byte {
 	dst = append(dst, memberTableMagic0, memberTableMagic1, memberWireVersion)
-	dst = AppendUvarint(dst, t.Version)
-	dst = AppendUvarint(dst, uint64(t.Epoch))
-	dst = AppendUvarint(dst, uint64(len(t.Members)))
+	dst = binary.AppendUvarint(dst, t.Version)
+	dst = binary.AppendUvarint(dst, uint64(t.Epoch))
+	dst = binary.AppendUvarint(dst, uint64(len(t.Members)))
 	for _, m := range t.Members {
-		dst = AppendVarint(dst, int64(m.Node))
+		dst = binary.AppendVarint(dst, int64(m.Node))
 		dst = append(dst, byte(m.State))
-		dst = AppendUvarint(dst, uint64(len(m.Addr)))
+		dst = binary.AppendUvarint(dst, uint64(len(m.Addr)))
 		dst = append(dst, m.Addr...)
 	}
 	return dst
@@ -187,18 +188,18 @@ func consumeMemberTable(b []byte) (*MemberTable, []byte, error) {
 	var t MemberTable
 	var v uint64
 	var err error
-	if v, b, err = ConsumeUvarint(b); err != nil {
+	if v, b, err = consumeUvarint(b); err != nil {
 		return nil, b, err
 	}
 	t.Version = v
-	if v, b, err = ConsumeUvarint(b); err != nil {
+	if v, b, err = consumeUvarint(b); err != nil {
 		return nil, b, err
 	}
 	if v > vmi.MaxEpoch {
 		return nil, b, fmt.Errorf("%w: epoch %d exceeds 24-bit range", ErrBadWire, v)
 	}
 	t.Epoch = uint32(v)
-	if v, b, err = ConsumeUvarint(b); err != nil {
+	if v, b, err = consumeUvarint(b); err != nil {
 		return nil, b, err
 	}
 	const maxMembers = 1 << 16 // defensive cap for decoding
@@ -210,7 +211,7 @@ func consumeMemberTable(b []byte) (*MemberTable, []byte, error) {
 	for i := uint64(0); i < v; i++ {
 		var m Member
 		var node int64
-		if node, b, err = ConsumeVarint(b); err != nil {
+		if node, b, err = consumeVarint(b); err != nil {
 			return nil, b, err
 		}
 		if node <= prev {
@@ -227,7 +228,7 @@ func consumeMemberTable(b []byte) (*MemberTable, []byte, error) {
 		m.State = MemberState(b[0])
 		b = b[1:]
 		var alen uint64
-		if alen, b, err = ConsumeUvarint(b); err != nil {
+		if alen, b, err = consumeUvarint(b); err != nil {
 			return nil, b, err
 		}
 		if alen > uint64(len(b)) {
@@ -256,9 +257,9 @@ func DecodeMemberTable(b []byte) (*MemberTable, error) {
 // AppendMembershipMsg appends m in wire form.
 func AppendMembershipMsg(dst []byte, m *MembershipMsg) []byte {
 	dst = append(dst, memberMsgMagic0, memberMsgMagic1, memberWireVersion, byte(m.Op))
-	dst = AppendVarint(dst, int64(m.From))
-	dst = AppendVarint(dst, int64(m.Node))
-	dst = AppendUvarint(dst, uint64(len(m.Addr)))
+	dst = binary.AppendVarint(dst, int64(m.From))
+	dst = binary.AppendVarint(dst, int64(m.Node))
+	dst = binary.AppendUvarint(dst, uint64(len(m.Addr)))
 	dst = append(dst, m.Addr...)
 	if m.Tbl != nil {
 		dst = append(dst, 1)
@@ -287,15 +288,15 @@ func DecodeMembershipMsg(b []byte) (*MembershipMsg, error) {
 	var sv int64
 	var uv uint64
 	var err error
-	if sv, b, err = ConsumeVarint(b); err != nil {
+	if sv, b, err = consumeVarint(b); err != nil {
 		return nil, err
 	}
 	m.From = int32(sv)
-	if sv, b, err = ConsumeVarint(b); err != nil {
+	if sv, b, err = consumeVarint(b); err != nil {
 		return nil, err
 	}
 	m.Node = int32(sv)
-	if uv, b, err = ConsumeUvarint(b); err != nil {
+	if uv, b, err = consumeUvarint(b); err != nil {
 		return nil, err
 	}
 	if uv > uint64(len(b)) {
@@ -970,4 +971,24 @@ func (m *Membership) alivePE(t *MemberTable) func(pe int) bool {
 		}
 	}
 	return func(pe int) bool { return active[m.cfg.NodeOf(pe)] }
+}
+
+// consumeUvarint parses one unsigned varint from the front of b and
+// returns the remainder; malformed input wraps ErrBadWire like every
+// other wire decode failure.
+func consumeUvarint(b []byte) (uint64, []byte, error) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 {
+		return 0, b, fmt.Errorf("%w: bad uvarint", ErrBadWire)
+	}
+	return v, b[n:], nil
+}
+
+// consumeVarint is consumeUvarint for zig-zag signed varints.
+func consumeVarint(b []byte) (int64, []byte, error) {
+	v, n := binary.Varint(b)
+	if n <= 0 {
+		return 0, b, fmt.Errorf("%w: bad varint", ErrBadWire)
+	}
+	return v, b[n:], nil
 }

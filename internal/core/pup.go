@@ -1,12 +1,13 @@
 package core
 
 // PUP — pack/unpack — is the single serialization contract for element
-// state. One visitor method written by the application serves three
-// consumers: load-balancer migration (evict→arrive over the wire),
-// checkpoint/restart (including restart on a different PE count), and
-// AMPI rank migration. This mirrors the Charm++ PUP framework (§2.1 of
-// the paper), where migration, checkpointing, and shrink/expand all ride
-// the same pup() routine.
+// state and messages. One visitor method written by the application
+// serves every consumer: load-balancer migration (evict→arrive over the
+// wire), checkpoint/restart (including restart on a different PE count),
+// AMPI rank migration, and message payloads on the TCP transport
+// (RegisterPUPPayload). This mirrors the Charm++ PUP framework (§2.1 of
+// the paper), where migration, checkpointing, shrink/expand and messages
+// all ride the same pup() routine.
 //
 // A PUP runs in one of three modes over a flat byte buffer:
 //
@@ -37,8 +38,7 @@ type PUPable interface {
 }
 
 // Migratable marks a chare whose state can move between PEs — the
-// requirement for load-balancer migration and checkpointing. The PUP
-// method replaces the former gob-based Pack scheme.
+// requirement for load-balancer migration and checkpointing.
 type Migratable interface {
 	Chare
 	PUPable
@@ -211,10 +211,12 @@ func (p *PUP) Duration(v *time.Duration) {
 	}
 }
 
-// length moves a slice length prefix and, when unpacking, validates it
-// against the bytes actually remaining (elemSize bytes per element) so a
-// corrupt prefix cannot trigger a huge allocation.
-func (p *PUP) length(n *int, elemSize int) {
+// Len moves a slice length prefix and, when unpacking, validates it
+// against the bytes actually remaining (at least elemSize bytes per
+// element) so a corrupt prefix cannot trigger a huge allocation. PUP
+// methods of slice types other than the ones below call it before
+// allocating the slice and visiting each element.
+func (p *PUP) Len(n *int, elemSize int) {
 	p.Int(n)
 	if p.mode == pupUnpacking && p.err == nil {
 		if *n < 0 || (elemSize > 0 && *n > p.remaining()/elemSize) {
@@ -228,7 +230,7 @@ func (p *PUP) length(n *int, elemSize int) {
 // length always unpacks as nil).
 func (p *PUP) Bytes(v *[]byte) {
 	n := len(*v)
-	p.length(&n, 1)
+	p.Len(&n, 1)
 	if p.err != nil {
 		return
 	}
@@ -250,7 +252,7 @@ func (p *PUP) Bytes(v *[]byte) {
 // String moves a string with a length prefix.
 func (p *PUP) String(v *string) {
 	n := len(*v)
-	p.length(&n, 1)
+	p.Len(&n, 1)
 	if p.err != nil {
 		return
 	}
@@ -271,7 +273,7 @@ func (p *PUP) String(v *string) {
 // the target program can simply compare lengths before calling this.
 func (p *PUP) Float64s(v *[]float64) {
 	n := len(*v)
-	p.length(&n, 8)
+	p.Len(&n, 8)
 	if p.err != nil {
 		return
 	}
@@ -299,7 +301,7 @@ func (p *PUP) Float64s(v *[]float64) {
 // uniformity with the scalar encoding).
 func (p *PUP) Int32s(v *[]int32) {
 	n := len(*v)
-	p.length(&n, 8)
+	p.Len(&n, 8)
 	if p.err != nil {
 		return
 	}
@@ -326,7 +328,7 @@ func (p *PUP) Int32s(v *[]int32) {
 // Ints moves a []int with a length prefix.
 func (p *PUP) Ints(v *[]int) {
 	n := len(*v)
-	p.length(&n, 8)
+	p.Len(&n, 8)
 	if p.err != nil {
 		return
 	}
@@ -347,6 +349,40 @@ func (p *PUP) Ints(v *[]int) {
 			p.off += 8
 		}
 		*v = s
+	}
+}
+
+// Payload moves a value of any type the wire codec carries — a built-in
+// payload or a type registered with RegisterPUPPayload — in its tagged
+// wire form, for open-typed fields such as a queued message's body.
+func (p *PUP) Payload(v *any) {
+	if p.err != nil {
+		return
+	}
+	switch p.mode {
+	case pupSizing:
+		b, err := appendPayload(nil, *v)
+		p.size += len(b)
+		p.fail(err)
+	case pupPacking:
+		b, err := appendPayload(p.buf, *v)
+		if err != nil {
+			p.fail(err)
+			return
+		}
+		p.buf = b
+	case pupUnpacking:
+		if p.remaining() < 1 {
+			p.fail(fmt.Errorf("pup: truncated buffer (need a payload tag at offset %d)", p.off))
+			return
+		}
+		x, rest, err := decodePayload(p.buf[p.off], p.buf[p.off+1:])
+		if err != nil {
+			p.fail(err)
+			return
+		}
+		*v = x
+		p.off = len(p.buf) - len(rest)
 	}
 }
 

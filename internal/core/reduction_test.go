@@ -211,9 +211,17 @@ func TestDecodeMessageNeverPanics(t *testing.T) {
 	}
 }
 
+// testPayload is a minimal registered PUP payload.
+type testPayload struct{ A, B int }
+
+func (tp *testPayload) PUP(p *PUP) {
+	p.Int(&tp.A)
+	p.Int(&tp.B)
+}
+
+func init() { RegisterPUPPayload[testPayload](202) }
+
 func TestMessageCodecRoundTrip(t *testing.T) {
-	type testPayload struct{ A, B int }
-	RegisterPayload(testPayload{})
 	in := &Message{
 		Kind: KindApp, To: ElemRef{Array: 1, Index: 42}, Entry: 3,
 		Prio: -2, Bytes: 1024, SrcPE: 5, DstPE: 9,

@@ -20,8 +20,6 @@ func TestTwoNodeTCPRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	RegisterPayload(int(0))
-
 	mkProg := func() *Program {
 		return &Program{
 			Arrays: []ArraySpec{{
@@ -123,8 +121,6 @@ func TestTwoNodeTCPCausality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	RegisterPayload(int(0))
-
 	mkProg := func() *Program {
 		return &Program{
 			Arrays: []ArraySpec{{

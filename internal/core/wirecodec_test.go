@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -128,87 +130,86 @@ func TestWireCodecAppendMessage(t *testing.T) {
 	}
 }
 
-// unregisteredPayload deliberately has no binary codec and no gob
-// registration conflict: it exercises the fallback path.
-type unregisteredPayload struct {
-	Name  string
-	Count int64
-}
+// unregisteredPayload has no wire codec.
+type unregisteredPayload struct{ N int }
 
-// TestWireCodecGobFallback: unregistered payload types travel via the gob
-// fallback and equal the value gob alone would produce.
-func TestWireCodecGobFallback(t *testing.T) {
-	RegisterPayload(unregisteredPayload{})
-	in := &Message{Kind: KindApp, Data: unregisteredPayload{Name: "x", Count: 3}}
-	b, err := EncodeMessage(in)
-	if err != nil {
-		t.Fatal(err)
+// TestWireCodecUnregisteredPayload: a payload type with no codec is an
+// encode error that names the type and the registration function.
+func TestWireCodecUnregisteredPayload(t *testing.T) {
+	_, err := EncodeMessage(&Message{Kind: KindApp, Data: unregisteredPayload{N: 3}})
+	if err == nil {
+		t.Fatal("unregistered payload type encoded")
 	}
-	out, err := DecodeMessage(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := out.Data.(unregisteredPayload); !ok || got != (unregisteredPayload{Name: "x", Count: 3}) {
-		t.Errorf("fallback payload: %#v", out.Data)
+	for _, want := range []string{"core.unregisteredPayload", "RegisterPUPPayload"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
 	}
 }
 
-// appPayload exercises RegisterPayloadCodec. Registration lives in an init
+// appPayload exercises RegisterPUPPayload. Registration lives in an init
 // so repeated test runs in one process (-count=N) don't trip the
 // duplicate-tag panic.
-type appPayload struct{ N byte }
-
-func init() {
-	RegisterPayloadCodec(200, appPayload{}, PayloadCodec{
-		Append: func(dst []byte, v any) ([]byte, error) {
-			return append(dst, v.(appPayload).N), nil
-		},
-		Decode: func(b []byte) (any, []byte, error) {
-			if len(b) < 1 {
-				return nil, b, ErrBadWire
-			}
-			return appPayload{N: b[0]}, b[1:], nil
-		},
-	})
+type appPayload struct {
+	N    int
+	Name string
+	Vals []float64
+	Body any
 }
 
-// TestRegisterPayloadCodec: an application-registered binary codec is used
-// for both directions and rejects reserved tags.
-func TestRegisterPayloadCodec(t *testing.T) {
-	in := &Message{Kind: KindApp, Data: appPayload{N: 77}}
-	b, err := EncodeMessage(in)
+func (a *appPayload) PUP(p *PUP) {
+	p.Int(&a.N)
+	p.String(&a.Name)
+	p.Float64s(&a.Vals)
+	p.Payload(&a.Body)
+}
+
+func init() { RegisterPUPPayload[appPayload](200) }
+
+// TestRegisterPUPPayload: a registered PUP payload is used for both
+// directions, nests other payloads, reports a corrupt body as ErrBadWire,
+// and reserved or duplicate registrations panic.
+func TestRegisterPUPPayload(t *testing.T) {
+	want := appPayload{N: 77, Name: "ghost", Vals: []float64{1, 2}, Body: []any{int64(5), "x", nil}}
+	b, err := EncodeMessage(&Message{Kind: KindApp, Data: want})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b[msgHeaderLen-1] != 200 {
-		t.Errorf("custom codec not used: tag %d", b[msgHeaderLen-1])
+		t.Errorf("registered codec not used: tag %d", b[msgHeaderLen-1])
 	}
 	out, err := DecodeMessage(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Data != (appPayload{N: 77}) {
+	if !reflect.DeepEqual(out.Data, want) {
 		t.Errorf("custom payload: %#v", out.Data)
 	}
-	for _, tag := range []byte{0, 10, 63, 255} {
+	if _, err := DecodeMessage(b[:len(b)-1]); !errors.Is(err, ErrBadWire) {
+		t.Errorf("truncated body: err %v, want ErrBadWire", err)
+	}
+	for _, tag := range []byte{0, 10, 63, 255, 200} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("reserved tag %d accepted", tag)
+					t.Errorf("tag %d accepted", tag)
 				}
 			}()
-			RegisterPayloadCodec(tag, struct{ X int }{}, PayloadCodec{
-				Append: func(dst []byte, v any) ([]byte, error) { return dst, nil },
-				Decode: func(b []byte) (any, []byte, error) { return nil, b, nil },
-			})
+			RegisterPUPPayload[unregisteredPayloadPUP](tag)
 		}()
 	}
 }
 
+// unregisteredPayloadPUP is only ever offered to a registration that
+// must panic.
+type unregisteredPayloadPUP struct{ X int }
+
+func (u *unregisteredPayloadPUP) PUP(p *PUP) { p.Int(&u.X) }
+
 // FuzzWireCodec round-trips structured random messages through the binary
 // codec and asserts byte-for-byte stability: decode(encode(m)) must
-// re-encode to the identical byte string. Unregistered payloads must take
-// the gob fallback and still round-trip.
+// re-encode to the identical byte string. The same value boxed in a
+// registered PUP payload must round-trip too.
 func FuzzWireCodec(f *testing.F) {
 	f.Add(uint8(0), int64(0), int64(0), false, "seed", []byte{1, 2, 3})
 	f.Add(uint8(3), int64(-9), int64(1<<40), true, "", []byte{})
@@ -263,22 +264,22 @@ func FuzzWireCodec(f *testing.F) {
 		if !bytes.Equal(enc1, enc2) {
 			t.Fatalf("codec not byte-stable:\n first %x\nsecond %x", enc1, enc2)
 		}
-		// Gob-fallback equivalence: the same payload boxed in an
-		// unregistered wrapper must still round-trip (values, not bytes —
-		// the fallback is a different wire form by construction).
-		if kind%10 == 5 { // strings are comparable and gob-safe
-			wrapped := &Message{Kind: in.Kind, Data: fuzzWrapper{S: s}}
-			wb, err := EncodeMessage(wrapped)
-			if err != nil {
-				t.Fatalf("fallback encode: %v", err)
-			}
-			wout, err := DecodeMessage(wb)
-			if err != nil {
-				t.Fatalf("fallback decode: %v", err)
-			}
-			if got, ok := wout.Data.(fuzzWrapper); !ok || got.S != s {
-				t.Fatalf("fallback payload mismatch: %#v", wout.Data)
-			}
+		// PUP-payload equivalence: the same payload nested in a registered
+		// wrapper must carry identical payload bytes and stay byte-stable.
+		wb, err := EncodeMessage(&Message{Kind: in.Kind, Data: fuzzWrapper{V: data}})
+		if err != nil {
+			t.Fatalf("wrapped encode: %v", err)
+		}
+		if !bytes.Equal(wb[msgHeaderLen:], enc1[msgHeaderLen-1:]) {
+			t.Fatalf("nested payload differs:\nwrapped %x\n  plain %x", wb[msgHeaderLen:], enc1[msgHeaderLen-1:])
+		}
+		wout, err := DecodeMessage(wb)
+		if err != nil {
+			t.Fatalf("wrapped decode: %v", err)
+		}
+		wb2, err := EncodeMessage(wout)
+		if err != nil || !bytes.Equal(wb, wb2) {
+			t.Fatalf("wrapped payload not byte-stable (err %v)", err)
 		}
 	})
 }
@@ -322,18 +323,27 @@ func FuzzTraceWire(f *testing.F) {
 		if !bytes.Equal(enc, enc2) {
 			t.Fatal("trace header not byte-stable")
 		}
-		// A version-1 frame (the pre-trace 41-byte header) must be rejected.
+		// A version-1 frame (the pre-trace 41-byte header) must be rejected,
+		// and so must a version-2 frame, whose application payloads used
+		// the varint and gob layouts under today's tags.
 		old := append([]byte(nil), enc...)
 		old[2] = 1
 		if _, err := DecodeMessage(old); err == nil {
 			t.Fatal("version-1 frame accepted")
 		}
+		old[2] = 2
+		if _, err := DecodeMessage(old); err == nil {
+			t.Fatal("version-2 frame accepted")
+		}
 	})
 }
 
-type fuzzWrapper struct{ S string }
+// fuzzWrapper nests any wire payload inside a registered PUP payload.
+type fuzzWrapper struct{ V any }
 
-func init() { RegisterPayload(fuzzWrapper{}) }
+func (w *fuzzWrapper) PUP(p *PUP) { p.Payload(&w.V) }
+
+func init() { RegisterPUPPayload[fuzzWrapper](201) }
 
 // FuzzDecodeMessage feeds arbitrary bytes to the decoder: it must error or
 // decode, never panic, and anything it decodes must re-encode stably.
@@ -343,6 +353,10 @@ func FuzzDecodeMessage(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add([]byte("garbage"))
+	seed = &Message{Kind: KindApp, Data: appPayload{N: 1, Body: []any{"a", nil, int64(2)}}}
+	if b, err := EncodeMessage(seed); err == nil {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := DecodeMessage(b)
 		if err != nil {
@@ -350,9 +364,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		enc, err := EncodeMessage(m)
 		if err != nil {
-			// Decoded a payload the encoder cannot express; acceptable
-			// only for the gob fallback, which is self-describing.
-			return
+			t.Fatalf("decoded message does not re-encode: %v", err)
 		}
 		m2, err := DecodeMessage(enc)
 		if err != nil {

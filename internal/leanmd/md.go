@@ -480,7 +480,27 @@ func BuildProgram(p *Params) (*core.Program, *Geometry, error) {
 	return prog, g, nil
 }
 
+// Wire payload tags; LeanMD's block is 88–95 (see DESIGN.md).
+const (
+	tagCoord byte = 88
+	tagForce byte = 89
+)
+
 func init() {
-	core.RegisterPayload(coordMsg{})
-	core.RegisterPayload(forceMsg{})
+	core.RegisterPUPPayload[coordMsg](tagCoord)
+	core.RegisterPUPPayload[forceMsg](tagForce)
+}
+
+// PUP makes coordMsg a wire payload.
+func (c *coordMsg) PUP(p *core.PUP) {
+	p.Int(&c.From)
+	p.Int(&c.Step)
+	pupVec3s(p, &c.Pos)
+}
+
+// PUP makes forceMsg a wire payload.
+func (f *forceMsg) PUP(p *core.PUP) {
+	p.Int(&f.Step)
+	pupVec3s(p, &f.F)
+	p.Float64(&f.U)
 }

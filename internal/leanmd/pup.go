@@ -8,27 +8,23 @@ import (
 // enabling load balancing (elements migrate between PEs, including
 // across gridnode processes) and checkpoint/restart.
 
-// pupVec3s packs a []Vec3 as a flat float64 vector so the length checks
-// and bit-exact float handling of core.PUP apply unchanged.
+// pupVec3s moves a []Vec3 laid out as a flat float64 vector (the count
+// is of floats), bit-exact like every core.PUP float.
 func pupVec3s(p *core.PUP, v *[]Vec3) {
-	var flat []float64
-	if !p.Unpacking() {
-		flat = make([]float64, 0, 3*len(*v))
-		for _, w := range *v {
-			flat = append(flat, w.X, w.Y, w.Z)
-		}
-	}
-	p.Float64s(&flat)
-	if p.Unpacking() {
-		if len(flat)%3 != 0 {
-			p.Errorf("leanmd: vector payload of %d floats is not a multiple of 3", len(flat))
+	n := 3 * len(*v)
+	p.Len(&n, 8)
+	if p.Unpacking() && p.Err() == nil {
+		if n%3 != 0 {
+			p.Errorf("leanmd: vector payload of %d floats is not a multiple of 3", n)
 			return
 		}
-		out := make([]Vec3, len(flat)/3)
-		for i := range out {
-			out[i] = Vec3{flat[3*i], flat[3*i+1], flat[3*i+2]}
-		}
-		*v = out
+		*v = make([]Vec3, n/3)
+	}
+	for i := range *v {
+		w := &(*v)[i]
+		p.Float64(&w.X)
+		p.Float64(&w.Y)
+		p.Float64(&w.Z)
 	}
 }
 

@@ -460,6 +460,15 @@ func BuildProgram(p *Params) (*core.Program, error) {
 	return prog, nil
 }
 
-func init() {
-	core.RegisterPayload(ghostMsg{})
+// tagGhost is ghostMsg's wire payload tag; the stencil's block is 80–87
+// (see DESIGN.md).
+const tagGhost byte = 80
+
+func init() { core.RegisterPUPPayload[ghostMsg](tagGhost) }
+
+// PUP makes ghostMsg a wire payload.
+func (g *ghostMsg) PUP(p *core.PUP) {
+	p.Int(&g.Dir)
+	p.Int(&g.Step)
+	p.Float64s(&g.Vals)
 }

@@ -374,6 +374,24 @@ func FuzzBatchCodec(f *testing.F) {
 	})
 }
 
+// BenchmarkTaskBatchCodec measures one encode+decode of a one-range
+// grant, the farm's most frequent message on a TCP deployment.
+func BenchmarkTaskBatchCodec(b *testing.B) {
+	m := &core.Message{Kind: core.KindApp, To: core.ElemRef{Array: 0, Index: 2}, Data: taskBatchMsg{Shard: 1, Ranges: []taskRange{{Lo: 4096, N: 8}}, bytes: 8 * 64}}
+	buf := make([]byte, 0, 8192)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if buf, err = core.AppendMessage(buf[:0], m); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.DecodeMessage(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(buf)), "wire-bytes")
+}
+
 // shardTestParams builds a Params good for PUP testing.
 func shardTestParams() *Params {
 	return &Params{Tasks: 1000, Prefetch: 2, Workers: 8, Shards: 4, Batch: 8, Steal: true, Seed: 5}
@@ -453,22 +471,33 @@ func TestRootPUPRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzShardPUP feeds arbitrary bytes to the shard restore path: it must
-// error or restore, never panic, and a successful restore must repack.
+// FuzzShardPUP feeds arbitrary bytes to the shard restore path of a
+// batch farm and of a serve farm (whose open task space bounds no range
+// count): it must error or restore, never panic, and a successful restore
+// must repack.
 func FuzzShardPUP(f *testing.F) {
 	p := shardTestParams()
+	sp := &Params{Serve: true, Prefetch: 2, Workers: 8, Shards: 4, Batch: 8, Steal: true, Seed: 5}
 	if data, err := core.PUPPack(newShard(p, 0, newFarmMetrics(p))); err == nil {
 		f.Add(data)
 	}
 	f.Add([]byte("garbage"))
 	f.Add([]byte{})
+	serve := newShard(sp, 0, newFarmMetrics(sp))
+	serve.pending = []taskRange{{Lo: 40, N: 8}, {Lo: 96, N: 3}}
+	serve.outRanges[1] = []taskRange{{Lo: 0, N: 16}}
+	if data, err := core.PUPPack(serve); err == nil {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := newShard(p, 0, newFarmMetrics(p))
-		if err := core.PUPUnpack(s, data); err != nil {
-			return
-		}
-		if _, err := core.PUPPack(s); err != nil {
-			t.Fatalf("restored shard cannot repack: %v", err)
+		for _, q := range []*Params{p, sp} {
+			s := newShard(q, 0, newFarmMetrics(q))
+			if err := core.PUPUnpack(s, data); err != nil {
+				continue
+			}
+			if _, err := core.PUPPack(s); err != nil {
+				t.Fatalf("restored shard (serve %v) cannot repack: %v", q.Serve, err)
+			}
 		}
 	})
 }

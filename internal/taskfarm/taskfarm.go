@@ -499,8 +499,3 @@ func BuildProgramFor(p *Params, numPE int) (*core.Program, error) {
 	}
 	return BuildProgram(&q)
 }
-
-func init() {
-	core.RegisterPayload(taskMsg{})
-	core.RegisterPayload(resultMsg{})
-}

@@ -307,6 +307,15 @@ func RunSequential(p *Params) ([]float64, error) {
 	return cur, nil
 }
 
-func init() {
-	core.RegisterPayload(haloMsg{})
+// tagHalo is haloMsg's wire payload tag; unstruct's block is 96–103 (see
+// DESIGN.md).
+const tagHalo byte = 96
+
+func init() { core.RegisterPUPPayload[haloMsg](tagHalo) }
+
+// PUP makes haloMsg a wire payload.
+func (h *haloMsg) PUP(p *core.PUP) {
+	p.Int32(&h.From)
+	p.Int(&h.Step)
+	p.Float64s(&h.Vals)
 }
