@@ -182,8 +182,8 @@ func (e *Engine) Topology(def func() (*topology.Topology, error)) (*topology.Top
 }
 
 // New constructs the configured engine over topo and prog. The parallel
-// engine refuses zero-lookahead topologies; the error carries the fix
-// (a cross-PE latency), so it is surfaced as-is.
+// engine refuses topologies with a zero-delay link between its shards;
+// the error carries the fix (some link latency), so it is surfaced as-is.
 func (e *Engine) New(topo *topology.Topology, prog *core.Program, opts sim.Options) (*sim.Engine, error) {
 	if e.PackCold > 0 {
 		opts.PackCold = e.PackCold

@@ -76,6 +76,9 @@ type SimScalePoint struct {
 	Engine       string  `json:"engine"` // "seq" or "parN"
 	Workers      int     `json:"workers"`
 	Shards       int     `json:"shards"`
+	LookaheadUS  float64 `json:"lookahead_us"`
+	Windows      int64   `json:"windows"`
+	Rewound      int64   `json:"rewound"`
 	Events       int64   `json:"events"`
 	WallMS       float64 `json:"wall_ms"`
 	EventsPerSec float64 `json:"events_per_sec"`
@@ -125,8 +128,9 @@ func (r *SimScaleReport) WriteJSON(w io.Writer) error {
 
 // simScaleSpec is the generator spec for a machine of pes processors:
 // 64-PE clusters joined by a seeded heterogeneous latency mesh. The
-// lookahead — and so the parallel window — is the 10µs intra-cluster
-// hop, the common case for the wave's stride-1 traffic.
+// parallel engine shards along cluster boundaries, so the wave's stride-1
+// hops stay inside a shard and the window is the smallest mesh latency
+// between shards (≥ 2 ms), not the 10 µs intra-cluster hop.
 func simScaleSpec(pes int) string {
 	if pes < 64 {
 		return fmt.Sprintf("%dx1;wan=5ms", pes)
@@ -319,7 +323,6 @@ func SimScale(w io.Writer, p Profile) (*Table, *SimScaleReport, error) {
 		pes := topo.NumPE()
 		if rep.TopoSpec == "" {
 			rep.TopoSpec = spec
-			rep.LookaheadUS = float64(topo.Lookahead()) / float64(time.Microsecond)
 		}
 		chares := pes * cfg.CharesPerPE
 		arms := make([]int, 0, 1+len(cfg.Workers))
@@ -338,6 +341,8 @@ func SimScale(w io.Writer, p Profile) (*Table, *SimScaleReport, error) {
 			}
 			pt := SimScalePoint{
 				PEs: pes, Chares: chares, Workers: stats.Workers, Shards: stats.Shards,
+				LookaheadUS: float64(stats.Lookahead) / float64(time.Microsecond),
+				Windows:     stats.Windows, Rewound: stats.Rewound,
 				Events: stats.Events, WallMS: ms(wall),
 				EventsPerSec: float64(stats.Events) / wall.Seconds(),
 				VirtualMS:    ms(vt),
@@ -349,6 +354,10 @@ func SimScale(w io.Writer, p Profile) (*Table, *SimScaleReport, error) {
 				pt.Speedup = 1
 			} else {
 				pt.Engine = fmt.Sprintf("par%d", workers)
+				if rep.LookaheadUS == 0 {
+					// The window the first parallel arm actually used.
+					rep.LookaheadUS = pt.LookaheadUS
+				}
 				pt.Speedup = pt.EventsPerSec / refRate
 				if sum != refSum {
 					rep.ChecksumsMatch = false

@@ -15,18 +15,19 @@
 // Two executors share one event model. New builds the sequential engine:
 // a single event queue popped in order, the reference semantics.
 // NewParallel builds the conservative parallel engine: PEs are divided
-// into shards, each with its own event heap, executed by a worker pool in
-// time windows bounded by the topology's lookahead (the minimum cross-PE
-// link delay — every cross-PE interaction is a modeled message with
+// into shards of whole clusters where the machine has enough of them,
+// each shard with its own event heap, executed by a worker pool in time
+// windows bounded by the lookahead (the minimum delay over links that
+// cross shards — every cross-shard interaction is a modeled message with
 // nonzero delay, so within one window the shards cannot affect each
-// other). Both engines order events by the same deterministic
-// (time, kind, key) comparator, where keys are drawn from per-PE
-// counters, so the parallel engine replays the identical per-PE event
-// sequence and produces bit-identical results — see DESIGN.md §13.
+// other, while intra-cluster traffic never waits on a barrier). Both
+// engines order events by the same deterministic (time, kind, key)
+// comparator, where keys are drawn from per-PE counters, so the parallel
+// engine replays the identical per-PE event sequence and produces
+// bit-identical results — see DESIGN.md §13.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -88,26 +89,64 @@ type event struct {
 	m    *core.Message
 }
 
+func (ev *event) before(o *event) bool {
+	if ev.at != o.at {
+		return ev.at < o.at
+	}
+	if ev.kind != o.kind {
+		return ev.kind < o.kind
+	}
+	return ev.key < o.key
+}
+
+// eventHeap is a binary min-heap of events in (at, kind, key) order. It
+// is typed rather than built on container/heap, whose interface boxes
+// every pushed and popped event into an allocation.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	if h[i].kind != h[j].kind {
-		return h[i].kind < h[j].kind
-	}
-	return h[i].key < h[j].key
+	q[i] = ev
+	*h = q
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// pop removes and returns the earliest event; the heap must be non-empty.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the message reference
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(&q[c]) {
+				c = r
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
 }
 
 // ordKey is an event's position in the global deterministic order, used
@@ -152,15 +191,20 @@ type simPE struct {
 // parallel window that raced past an exit (or error) can restore the
 // exact per-PE clocks and counters the sequential engine would have
 // stopped with. One record is appended per event; records are discarded
-// at each window barrier.
+// at each window barrier. A cluster-aligned window holds thousands of
+// events per shard, so the record is kept small: the event's order key
+// is stored flat, and the shard's clock and event count are not stored
+// at all — processEvent changes both exactly once per record, so
+// rewindTo derives them from the log.
 type rewindRec struct {
-	key                  ordKey
+	at                   time.Duration
+	key                  uint64
 	pe                   int32
-	now                  time.Duration
+	kind                 evKind
 	busyUntil, busyTotal time.Duration
 	processed            int64
 	sendSeq              uint64
-	events, msgs, frames int64
+	msgs, frames         int64
 }
 
 // shard owns a contiguous range of PEs: their event heap, queues, hosts,
@@ -191,6 +235,7 @@ type shard struct {
 	staged     []trace.Event
 	stagedKeys []ordKey
 	rewind     []rewindRec
+	rewindNow  time.Duration // the clock before the log's first event
 
 	eventCount int64
 	msgCount   int64
@@ -214,6 +259,10 @@ type Engine struct {
 
 	// bootSeq keys events originated outside any PE (the start message).
 	bootSeq uint64
+
+	// Window statistics, counted on the barrier goroutine.
+	windows int64 // parallel windows run
+	rewound int64 // events undone at a stop
 
 	now time.Duration
 
@@ -247,8 +296,8 @@ func New(topo *topology.Topology, prog *core.Program, opts Options) (*Engine, er
 // NewParallel builds the conservative parallel engine: workers goroutines
 // execute PE shards in lookahead-bounded time windows. Results (exit
 // value, virtual times, checksums, traces) are bit-identical to the
-// sequential engine's. The topology must have positive lookahead — some
-// modeled delay on every cross-PE link — unless it has a single PE.
+// sequential engine's. Every link between shards must have some modeled
+// delay (see shardLayout for how PEs are grouped into shards).
 func NewParallel(topo *topology.Topology, prog *core.Program, opts Options, workers int) (*Engine, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("sim: NewParallel needs at least one worker, got %d", workers)
@@ -269,41 +318,31 @@ func newEngine(topo *topology.Topology, prog *core.Program, opts Options, worker
 		workers:  workers,
 	}
 	numPE := topo.NumPE()
-	numShards := 1
 	if parallel {
-		e.lookahead = topo.Lookahead()
-		if numPE > 1 && e.lookahead <= 0 {
-			return nil, fmt.Errorf("sim: parallel execution needs positive lookahead, but topology %v has a zero-delay cross-PE link; give every link some latency or overhead", topo)
-		}
-		// More shards than workers keeps the per-shard heaps small and
-		// lets the pool balance uneven windows; beyond ~4× there is only
-		// bookkeeping.
-		numShards = 4 * workers
-		if numShards < 16 {
-			numShards = 16
-		}
-		if numShards > numPE {
-			numShards = numPE
+		e.shardOf = shardLayout(topo, workers)
+	} else {
+		e.shardOf = make([]int32, numPE)
+	}
+	numShards := int(e.shardOf[numPE-1]) + 1
+	if numShards > 1 {
+		e.lookahead = topo.Lookahead(e.shardOf)
+		if e.lookahead <= 0 {
+			return nil, fmt.Errorf("sim: parallel execution needs positive lookahead, but topology %v has a zero-delay link between shards; give every link some latency or overhead", topo)
 		}
 	}
 	e.shards = make([]*shard, numShards)
-	e.shardOf = make([]int32, numPE)
-	base, rem := numPE/numShards, numPE%numShards
 	lo := 0
-	for i := 0; i < numShards; i++ {
-		n := base
-		if i < rem {
-			n++
+	for i := range e.shards {
+		hi := lo
+		for hi < numPE && int(e.shardOf[hi]) == i {
+			hi++
 		}
-		s := &shard{eng: e, id: i, peLo: lo, peHi: lo + n}
+		s := &shard{eng: e, id: i, peLo: lo, peHi: hi}
 		if parallel {
 			s.outbox = make([]event, 0, 16)
 		}
 		e.shards[i] = s
-		for pe := lo; pe < lo+n; pe++ {
-			e.shardOf[pe] = int32(i)
-		}
-		lo += n
+		lo = hi
 	}
 	e.pes = make([]*simPE, numPE)
 	for pe := 0; pe < numPE; pe++ {
@@ -346,6 +385,50 @@ func newEngine(topo *topology.Topology, prog *core.Program, opts Options, worker
 		}
 	}
 	return e, nil
+}
+
+// shardLayout maps each PE to its shard; shards are contiguous PE ranges,
+// numbered in PE order. When the machine has at least one cluster per
+// worker, shards are unions of whole clusters: each cluster joins the
+// shard its PE-count midpoint falls in, which balances shards by PE
+// count. Intra-cluster links then never cross a shard, and the window is
+// the WAN delay. With fewer clusters than workers, clusters are split
+// into equal PE ranges and the window falls back to the intra-cluster
+// delay. More shards than workers keeps the per-shard heaps small and
+// lets the pool balance uneven windows; beyond ~4× there is only
+// bookkeeping.
+func shardLayout(topo *topology.Topology, workers int) []int32 {
+	numPE := topo.NumPE()
+	numShards := max(16, 4*workers)
+	shardOf := make([]int32, numPE)
+	if c := topo.NumClusters(); c >= workers {
+		numShards = min(numShards, c)
+		id, slot, pre := int32(-1), -1, 0
+		for cl := 0; cl < c; cl++ {
+			pes := topo.PEs(topology.ClusterID(cl))
+			if s := (2*pre + len(pes)) * numShards / (2 * numPE); s != slot {
+				id, slot = id+1, s
+			}
+			for _, pe := range pes {
+				shardOf[pe] = id
+			}
+			pre += len(pes)
+		}
+		return shardOf
+	}
+	numShards = min(numShards, numPE)
+	base, rem := numPE/numShards, numPE%numShards
+	pe := 0
+	for i := 0; i < numShards; i++ {
+		n := base
+		if i < rem {
+			n++
+		}
+		for end := pe + n; pe < end; pe++ {
+			shardOf[pe] = int32(i)
+		}
+	}
+	return shardOf
 }
 
 // nextKey draws the next deterministic event key (and message ID) for a
@@ -427,7 +510,7 @@ func (s *shard) transmit(m *core.Message, sendAt time.Duration, src int) {
 // deferred hand-off cannot reorder anything.
 func (s *shard) push(ev event) {
 	if !s.eng.parallel || s.owns(ev.pe) {
-		heap.Push(&s.events, ev)
+		s.events.push(ev)
 		return
 	}
 	s.outbox = append(s.outbox, ev)
@@ -573,7 +656,7 @@ func (e *Engine) resolveStop() {
 func (e *Engine) Run() (any, time.Duration, error) {
 	startKey := e.nextKey(-1)
 	s0 := e.shards[e.shardOf[0]]
-	heap.Push(&s0.events, event{at: 0, key: startKey, kind: evDeliver, pe: 0, m: &core.Message{Kind: core.KindStart, ID: startKey}})
+	s0.events.push(event{at: 0, key: startKey, kind: evDeliver, pe: 0, m: &core.Message{Kind: core.KindStart, ID: startKey}})
 	if e.parallel {
 		e.runParallel()
 	} else {
@@ -598,7 +681,7 @@ func (e *Engine) Run() (any, time.Duration, error) {
 func (e *Engine) runSequential() {
 	s := e.shards[0]
 	for len(s.events) > 0 && !e.stopFlag.Load() {
-		ev := heap.Pop(&s.events).(event)
+		ev := s.events.pop()
 		s.now = ev.at
 		s.curKey = ordKey{at: ev.at, kind: ev.kind, key: ev.key}
 		s.eventCount++
@@ -735,7 +818,9 @@ type Stats struct {
 
 	Shards    int           // event shards (1 = sequential)
 	Workers   int           // worker goroutines (1 = sequential)
-	Lookahead time.Duration // synchronization window (0 = sequential)
+	Lookahead time.Duration // synchronization window (0 = one shard)
+	Windows   int64         // parallel windows run, one barrier each
+	Rewound   int64         // events undone when a parallel run stopped
 
 	ColdPacks    int64 // cold-store pack operations (PackCold runs)
 	ColdHydrates int64 // cold-store hydrate operations
@@ -751,6 +836,8 @@ func (e *Engine) Stats() Stats {
 		Shards:      len(e.shards),
 		Workers:     e.workers,
 		Lookahead:   e.lookahead,
+		Windows:     e.windows,
+		Rewound:     e.rewound,
 	}
 	for _, sh := range e.shards {
 		s.Events += sh.eventCount

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"time"
@@ -12,10 +11,13 @@ import (
 //
 //  1. Find W, the earliest pending event time across all shards.
 //  2. Let every shard with events before Wend = W + lookahead process
-//     them, concurrently. Cross-PE messages carry at least the lookahead
-//     of modeled delay, so nothing a shard does in [W, Wend) can schedule
-//     work for another shard inside the same window — the shards are
-//     provably independent until the barrier.
+//     them, concurrently. Messages between shards carry at least the
+//     lookahead of modeled delay, so nothing a shard does in [W, Wend)
+//     can schedule work for another shard inside the same window — the
+//     shards are provably independent until the barrier. Shards are
+//     whole clusters where the machine allows (see shardLayout), so the
+//     lookahead is the WAN delay and intra-cluster messages, however
+//     fast, stay on their shard's own heap.
 //  3. Barrier: hand buffered cross-shard deliveries to their target
 //     heaps, flush staged trace events, and settle any stop candidates.
 //
@@ -41,36 +43,23 @@ func (e *Engine) runParallel() {
 	}
 	active := make([]*shard, 0, len(e.shards))
 	for {
-		// Find the earliest pending event and the shards with work near it.
+		// Find the earliest pending event.
 		w := time.Duration(-1)
-		nonEmpty := 0
 		for _, s := range e.shards {
-			if len(s.events) == 0 {
-				continue
-			}
-			nonEmpty++
-			if w < 0 || s.events[0].at < w {
+			if len(s.events) > 0 && (w < 0 || s.events[0].at < w) {
 				w = s.events[0].at
 			}
 		}
 		if w < 0 {
 			return // natural quiescence: no events anywhere
 		}
-		var wend time.Duration
-		switch {
-		case len(e.shards) == 1:
-			wend = maxDuration // one shard: nothing to synchronize with
-		case nonEmpty == 1:
-			// Only one shard holds events: every other shard's earliest
-			// possible event is a delivery from this window, at ≥ w +
-			// lookahead — so the lone shard can safely run one lookahead
-			// further before a response could reach it.
-			wend = w + 2*e.lookahead
-		default:
-			wend = w + e.lookahead
-		}
-		if wend < w {
-			wend = maxDuration // overflow far in virtual time
+		// The window is one lookahead even when a single shard holds
+		// events: running it further would commit events the next
+		// window's deliveries (at >= w + lookahead) could still precede,
+		// and a stop there could then be neither honored nor rewound.
+		wend := w + e.lookahead
+		if len(e.shards) == 1 || wend < w {
+			wend = maxDuration // nothing to synchronize with, or overflow
 		}
 		active = active[:0]
 		for _, s := range e.shards {
@@ -78,6 +67,7 @@ func (e *Engine) runParallel() {
 				active = append(active, s)
 			}
 		}
+		e.windows++
 		if pool == nil || len(active) == 1 {
 			for _, s := range active {
 				s.runWindow(wend)
@@ -100,8 +90,7 @@ func (e *Engine) runParallel() {
 			s.flushStaged(ordKey{}, false)
 			s.rewind = s.rewind[:0]
 			for _, ev := range s.outbox {
-				t := e.shards[e.shardOf[ev.pe]]
-				heap.Push(&t.events, ev)
+				e.shards[e.shardOf[ev.pe]].events.push(ev)
 			}
 			s.outbox = s.outbox[:0]
 		}
@@ -149,8 +138,7 @@ func (s *shard) runWindow(wend time.Duration) {
 				return
 			}
 		}
-		ev := heap.Pop(&s.events).(event)
-		s.processEvent(ev)
+		s.processEvent(s.events.pop())
 	}
 }
 
@@ -159,15 +147,18 @@ func (s *shard) runWindow(wend time.Duration) {
 func (s *shard) processEvent(ev event) {
 	e := s.eng
 	ps := e.pes[ev.pe]
+	if len(s.rewind) == 0 {
+		s.rewindNow = s.now
+	}
 	s.rewind = append(s.rewind, rewindRec{
-		key:       ordKey{at: ev.at, kind: ev.kind, key: ev.key},
+		at:        ev.at,
+		key:       ev.key,
 		pe:        ev.pe,
-		now:       s.now,
+		kind:      ev.kind,
 		busyUntil: ps.busyUntil,
 		busyTotal: ps.busyTotal,
 		processed: ps.processed,
 		sendSeq:   ps.sendSeq,
-		events:    s.eventCount,
 		msgs:      s.msgCount,
 		frames:    s.frameCount,
 	})
@@ -186,12 +177,15 @@ func (s *shard) processEvent(ev event) {
 
 // rewindTo undoes the per-PE clocks and shard counters of every event
 // ordered after the stop, walking the rewind log backwards so the oldest
-// record's snapshot wins.
+// record's snapshot wins. The log is in processing order, so the undone
+// events are a suffix of it: the shard clock goes back to the last kept
+// event's time, and the event count drops by one per undone record.
 func (s *shard) rewindTo(stopK ordKey) {
 	e := s.eng
-	for i := len(s.rewind) - 1; i >= 0; i-- {
-		rec := &s.rewind[i]
-		if !rec.key.greater(stopK) {
+	i := len(s.rewind)
+	for ; i > 0; i-- {
+		rec := &s.rewind[i-1]
+		if !(ordKey{at: rec.at, kind: rec.kind, key: rec.key}).greater(stopK) {
 			break
 		}
 		ps := e.pes[rec.pe]
@@ -199,10 +193,16 @@ func (s *shard) rewindTo(stopK ordKey) {
 		ps.busyTotal = rec.busyTotal
 		ps.processed = rec.processed
 		ps.sendSeq = rec.sendSeq
-		s.now = rec.now
-		s.eventCount = rec.events
 		s.msgCount = rec.msgs
 		s.frameCount = rec.frames
+	}
+	if undone := len(s.rewind) - i; undone > 0 {
+		s.eventCount -= int64(undone)
+		e.rewound += int64(undone)
+		s.now = s.rewindNow
+		if i > 0 {
+			s.now = s.rewind[i-1].at
+		}
 	}
 	s.rewind = s.rewind[:0]
 }

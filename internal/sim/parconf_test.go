@@ -97,18 +97,17 @@ type confRun struct {
 
 func runConf(t *testing.T, spec string, app confApp, opts Options, workers int) confRun {
 	t.Helper()
-	s, err := topology.ParseSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo, err := s.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	return runConfOn(t, buildSpec(t, spec), spec, app, opts, workers)
+}
+
+// runConfOn is runConf on an already-built machine.
+func runConfOn(t *testing.T, topo *topology.Topology, spec string, app confApp, opts Options, workers int) confRun {
+	t.Helper()
 	prog := app.build(t, topo.NumPE())
 	opts.Trace = trace.New(topo.NumPE())
 	opts.MaxEvents = 50_000_000
 	var e *Engine
+	var err error
 	if workers == 0 {
 		e, err = New(topo, prog, opts)
 	} else {

@@ -67,18 +67,19 @@ func TestSpecBuildProperties(t *testing.T) {
 		if topo.NumClusters() != s.NumClusters() {
 			t.Fatalf("spec %q: built %d clusters, want %d", s, topo.NumClusters(), s.NumClusters())
 		}
-		if la := topo.Lookahead(); topo.NumPE() > 1 && la <= 0 {
+		la := topo.Lookahead(singletons(topo.NumPE()))
+		if topo.NumPE() > 1 && la <= 0 {
 			t.Fatalf("spec %q: non-positive lookahead %v", s, la)
 		}
 		// Symmetry over sampled PE pairs (all pairs when small).
 		for trial := 0; trial < 64; trial++ {
 			a, b := rng.Intn(topo.NumPE()), rng.Intn(topo.NumPE())
-			la, lb := topo.LinkBetween(a, b), topo.LinkBetween(b, a)
-			if la != lb {
-				t.Fatalf("spec %q: asymmetric link %d<->%d: %+v vs %+v", s, a, b, la, lb)
+			ab, ba := topo.LinkBetween(a, b), topo.LinkBetween(b, a)
+			if ab != ba {
+				t.Fatalf("spec %q: asymmetric link %d<->%d: %+v vs %+v", s, a, b, ab, ba)
 			}
-			if a != b && la.Delay(0) < topo.Lookahead() {
-				t.Fatalf("spec %q: link %d->%d delay %v below lookahead %v", s, a, b, la.Delay(0), topo.Lookahead())
+			if a != b && ab.Delay(0) < la {
+				t.Fatalf("spec %q: link %d->%d delay %v below lookahead %v", s, a, b, ab.Delay(0), la)
 			}
 		}
 		// Speeds land on the right clusters.
@@ -192,7 +193,7 @@ func FuzzParseSpec(f *testing.F) {
 				t.Fatalf("spec %q: asymmetric link %d<->%d", s, a, b)
 			}
 		}
-		if n > 1 && topo.Lookahead() <= 0 {
+		if n > 1 && topo.Lookahead(singletons(n)) <= 0 {
 			t.Fatalf("spec %q: non-positive lookahead", s)
 		}
 	})

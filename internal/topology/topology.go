@@ -284,17 +284,24 @@ func (t *Topology) LinkBetween(a, b int) Link {
 }
 
 // Lookahead reports the minimum zero-byte delivery delay over every link
-// that can carry a message between two *distinct* PEs. It is the
-// conservative synchronization horizon of the parallel virtual-time
-// engine: any cross-PE message sent at time t arrives no earlier than
-// t + Lookahead(), regardless of which PEs are involved, so PE shards may
-// run Lookahead() of virtual time without coordinating. Self-send links
-// are excluded (they never cross shards). The result is 0 when the
-// machine has a single PE (no cross-PE links exist) or when some link has
-// no delay at all.
-func (t *Topology) Lookahead() time.Duration {
-	if t.numPE <= 1 {
-		return 0
+// that can carry a message between PEs in different parts of a partition;
+// part[pe] names the part (for the parallel virtual-time engine, the
+// shard) that owns pe. It is the engine's conservative synchronization
+// horizon: a message that leaves a part at time t arrives no earlier than
+// t + Lookahead(part), so parts may run that much virtual time without
+// coordinating. Links inside a part never count, which is what makes
+// cluster-aligned parts pay off: their horizon is the WAN delay, not the
+// intra-cluster hop.
+//
+// A link class counts when some PE pair it serves straddles two parts:
+// the intra link of a cluster split across parts, a cluster-pair link or
+// the base inter link between clusters not wholly inside one common part,
+// and per-PE-pair overrides whose ends lie in different parts. The cost is
+// O(PEs + clusters + overrides). The result is 0 when no link crosses
+// parts (a single part) or when some crossing link has no delay at all.
+func (t *Topology) Lookahead(part []int32) time.Duration {
+	if len(part) != t.numPE {
+		panic(fmt.Sprintf("topology: Lookahead partition covers %d PEs, machine has %d", len(part), t.numPE))
 	}
 	la := time.Duration(-1)
 	consider := func(l Link) {
@@ -302,28 +309,44 @@ func (t *Topology) Lookahead() time.Duration {
 			la = d
 		}
 	}
-	intraPairs := false
-	for _, members := range t.clusters {
-		if len(members) > 1 {
-			intraPairs = true
-			break
+	// whole[c] is the part holding all of cluster c, or -1 when c is split.
+	whole := make([]int32, len(t.clusters))
+	perPart := make(map[int32]int) // whole clusters per part
+	for c, members := range t.clusters {
+		whole[c] = part[members[0]]
+		for _, pe := range members[1:] {
+			if part[pe] != whole[c] {
+				whole[c] = -1
+				consider(t.intra)
+				break
+			}
+		}
+		if whole[c] >= 0 {
+			perPart[whole[c]]++
 		}
 	}
-	if intraPairs {
-		consider(t.intra)
+	crosses := func(a, b int) bool { return whole[a] < 0 || whole[a] != whole[b] }
+	// Ordered cluster pairs with a straddling PE pair: all pairs, less
+	// those whose clusters share one part.
+	c := len(t.clusters)
+	crossPairs := c * (c - 1)
+	for _, g := range perPart {
+		crossPairs -= g * (g - 1)
 	}
-	if c := len(t.clusters); c > 1 {
-		// The base inter link applies unless every cluster pair is
-		// overridden; each override contributes its own delay.
-		if len(t.clusterLinks) < c*(c-1) {
-			consider(t.inter)
-		}
-		for _, l := range t.clusterLinks {
+	overridden := 0
+	for k, l := range t.clusterLinks {
+		if crosses(int(k>>32), int(uint32(k))) {
+			overridden++
 			consider(l)
 		}
 	}
+	// The base inter link serves every straddling cluster pair that has
+	// no override of its own.
+	if overridden < crossPairs {
+		consider(t.inter)
+	}
 	for k, l := range t.overrides {
-		if a, b := int(k>>32), int(uint32(k)); a != b {
+		if a, b := int(k>>32), int(uint32(k)); part[a] != part[b] {
 			consider(l)
 		}
 	}

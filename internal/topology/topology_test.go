@@ -217,3 +217,138 @@ func TestStringForms(t *testing.T) {
 		t.Error("empty String for two clusters")
 	}
 }
+
+// singletons is the finest partition: every PE in a part of its own, so
+// Lookahead covers every link between distinct PEs.
+func singletons(n int) []int32 {
+	part := make([]int32, n)
+	for i := range part {
+		part[i] = int32(i)
+	}
+	return part
+}
+
+// byCluster puts each cluster in a part of its own.
+func byCluster(topo *Topology) []int32 {
+	part := make([]int32, topo.NumPE())
+	for pe := range part {
+		part[pe] = int32(topo.Cluster(pe))
+	}
+	return part
+}
+
+func buildSpecT(t *testing.T, text string) *Topology {
+	t.Helper()
+	s, err := ParseSpec(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo
+}
+
+// TestLookaheadClusterAligned: with one part per cluster the horizon is
+// the minimum cross-cluster delay, not the 10 µs intra-cluster hop.
+func TestLookaheadClusterAligned(t *testing.T) {
+	topo := buildSpecT(t, "16x64;wan=5ms;mesh=rand:1:2ms:10ms")
+	want := time.Duration(-1)
+	for a := 0; a < topo.NumClusters(); a++ {
+		for b := 0; b < topo.NumClusters(); b++ {
+			if a == b {
+				continue
+			}
+			d := topo.LinkBetween(topo.PEs(ClusterID(a))[0], topo.PEs(ClusterID(b))[0]).Delay(0)
+			if want < 0 || d < want {
+				want = d
+			}
+		}
+	}
+	if got := topo.Lookahead(byCluster(topo)); got != want {
+		t.Fatalf("cluster-aligned lookahead %v, want minimum cross-cluster delay %v", got, want)
+	}
+	if want < 2*time.Millisecond {
+		t.Fatalf("minimum cross-cluster delay %v below the mesh floor", want)
+	}
+	// Pairs of whole clusters per part: links inside a part drop out, so
+	// the horizon can only grow.
+	part := make([]int32, topo.NumPE())
+	for pe := range part {
+		part[pe] = int32(topo.Cluster(pe)) / 2
+	}
+	if got := topo.Lookahead(part); got < want {
+		t.Fatalf("coarser cluster-aligned lookahead %v below the finer %v", got, want)
+	}
+	// One part holds everything: nothing crosses.
+	if got := topo.Lookahead(make([]int32, topo.NumPE())); got != 0 {
+		t.Fatalf("single-part lookahead %v, want 0", got)
+	}
+}
+
+// TestLookaheadSplitClusterFallsBack: once a cluster straddles two parts,
+// its intra link crosses and bounds the horizon.
+func TestLookaheadSplitClusterFallsBack(t *testing.T) {
+	topo := buildSpecT(t, "2x4;wan=2ms")
+	intra := topo.LinkBetween(0, 1).Delay(0)
+	if got := topo.Lookahead(byCluster(topo)); got != topo.LinkBetween(0, 4).Delay(0) {
+		t.Fatalf("aligned lookahead %v, want the WAN delay", got)
+	}
+	part := byCluster(topo)
+	part[3] = 2 // PE 3 leaves cluster 0's part
+	if got := topo.Lookahead(part); got != intra {
+		t.Fatalf("split-cluster lookahead %v, want intra delay %v", got, intra)
+	}
+	if got := topo.Lookahead(singletons(topo.NumPE())); got != intra {
+		t.Fatalf("per-PE lookahead %v, want intra delay %v", got, intra)
+	}
+}
+
+// TestLookaheadPairOverride: a PE-pair override lowers the horizon only
+// when its ends lie in different parts.
+func TestLookaheadPairOverride(t *testing.T) {
+	topo, err := TwoClusters(8, 3*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := byCluster(topo)
+	base := topo.Lookahead(part)
+	topo.SetPairLatency(0, 1, 0) // inside cluster 0's part
+	if got := topo.Lookahead(part); got != base {
+		t.Fatalf("in-part override moved lookahead %v -> %v", base, got)
+	}
+	topo.SetPairLatency(1, 6, 100*time.Microsecond) // across the parts
+	want := topo.LinkBetween(1, 6).Delay(0)
+	if want >= base {
+		t.Fatalf("override delay %v does not undercut %v", want, base)
+	}
+	if got := topo.Lookahead(part); got != want {
+		t.Fatalf("cross-part override: lookahead %v, want %v", got, want)
+	}
+}
+
+// TestLookaheadClusterPairOverrides: the base inter link counts only
+// while some straddling cluster pair has no link of its own.
+func TestLookaheadClusterPairOverrides(t *testing.T) {
+	topo, err := New([]int{2, 2, 2}, WithInterLatency(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []ClusterID{1, 2} {
+		if err := topo.SetClusterPairLatency(0, c, 4*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base, slow := topo.LinkBetween(2, 4).Delay(0), topo.LinkBetween(0, 2).Delay(0)
+	part := byCluster(topo)
+	if got := topo.Lookahead(part); got != base {
+		t.Fatalf("pair (1,2) on the base link: lookahead %v, want %v", got, base)
+	}
+	// Clusters 1 and 2 share a part: only the overridden (0,1) and (0,2)
+	// pairs straddle, so the base link no longer counts.
+	part[4], part[5] = 1, 1
+	if got := topo.Lookahead(part); got != slow {
+		t.Fatalf("merged parts: lookahead %v, want %v", got, slow)
+	}
+}
